@@ -26,15 +26,37 @@ def rank_within_group(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         Index into ``unique_groups`` for each element.
     """
     group_ids = np.asarray(group_ids)
-    unique_groups, inverse = np.unique(group_ids, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    inverse_sorted = inverse[order]
-    # Start offset of every group's run inside the sorted layout.
-    group_start = np.searchsorted(inverse_sorted, np.arange(len(unique_groups)))
-    ranks_sorted = np.arange(len(group_ids)) - group_start[inverse_sorted]
-    ranks = np.empty(len(group_ids), dtype=np.int64)
-    ranks[order] = ranks_sorted
-    return ranks, unique_groups, inverse
+    n = len(group_ids)
+    order = np.argsort(group_ids, kind="stable")
+    sorted_ids = group_ids[order]
+    starts_run = np.empty(n, dtype=bool)
+    starts_run[:1] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=starts_run[1:])
+    run_starts = np.flatnonzero(starts_run)
+    # Group index of every sorted element, then its offset in its run.
+    group_sorted = np.cumsum(starts_run) - 1
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n) - run_starts[group_sorted]
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = group_sorted
+    return ranks, sorted_ids[run_starts], inverse
+
+
+def nth_set_columns(mask: np.ndarray, rows: np.ndarray,
+                    nth: np.ndarray) -> np.ndarray:
+    """Column of the ``nth[i]``-th set entry of ``mask[rows[i]]``.
+
+    The slot-claiming step of a placement round: ``mask`` holds one
+    free-slot row per distinct bucket and the k-th contender for a
+    bucket takes its k-th free slot (counting from the left, 0-based).
+    Every ``nth[i]`` must be below that row's count of set entries.
+    Works from the set positions of ``mask`` itself, so memory stays
+    ``O(mask.size + len(rows))`` however many contenders share a row.
+    """
+    counts = np.count_nonzero(mask, axis=1)
+    row_start = np.cumsum(counts) - counts
+    flat = np.flatnonzero(mask)
+    return flat[row_start[rows] + nth] - rows * mask.shape[1]
 
 
 def group_counts(group_ids: np.ndarray, num_groups: int) -> np.ndarray:

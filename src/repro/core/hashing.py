@@ -25,25 +25,19 @@ from repro.errors import InvalidConfigError
 #: Mersenne prime used by the universal family.
 MERSENNE_P = np.uint64((1 << 31) - 1)
 
-_U64 = np.uint64
-_MASK31 = np.uint64((1 << 31) - 1)
 
+def fold_to_31_bits(codes: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Reduce ``uint64`` codes modulo the Mersenne prime ``2**31 - 1``.
 
-def fold_to_31_bits(codes: np.ndarray) -> np.ndarray:
-    """Fold ``uint64`` codes into ``[0, 2**31 - 1)`` via Mersenne folding.
-
-    Splits the 64-bit value into three 31-bit limbs and sums them; because
-    ``2**31 === 1 (mod 2**31 - 1)`` this is a true reduction modulo the
-    Mersenne prime.
+    Because ``2**31 === 1 (mod 2**31 - 1)`` the residue equals the
+    folded sum of the value's three 31-bit limbs; numpy's integer
+    remainder yields the same canonical residue in one pass, and on
+    every array size measured (100 to 1M codes) faster than the limb
+    arithmetic.  ``out`` may alias ``codes`` to reduce in place.
     """
-    codes = np.asarray(codes, dtype=np.uint64)
-    c0 = codes & _MASK31
-    c1 = (codes >> _U64(31)) & _MASK31
-    c2 = codes >> _U64(62)
-    total = c0 + c1 + c2  # < 2**33, no overflow
-    total = (total & _MASK31) + (total >> _U64(31))
-    # One more conditional fold: total may still equal or exceed p.
-    return np.where(total >= MERSENNE_P, total - MERSENNE_P, total)
+    return np.remainder(np.asarray(codes, dtype=np.uint64), MERSENNE_P,
+                        out=out)
 
 
 class UniversalHash:
@@ -77,12 +71,36 @@ class UniversalHash:
         premix = int(rng.integers(0, 1 << 63))
         return cls(a, b, premix)
 
+    @classmethod
+    def per_key(cls, members: "list[UniversalHash]",
+                which: np.ndarray) -> "UniversalHash":
+        """Key ``i`` hashed by ``members[which[i]]``, as one function.
+
+        The returned object's constants are arrays aligned with the keys
+        it will hash, so a single :meth:`raw` call evaluates each key
+        under its own member of the family (bit-identical to hashing
+        every key group with its member separately).
+        """
+        which = np.asarray(which, dtype=np.int64)
+
+        def pick(constants: list) -> np.ndarray:
+            return np.asarray(constants, dtype=np.uint64)[which]
+
+        picked = cls.__new__(cls)
+        picked.a = pick([m.a for m in members])
+        picked.b = pick([m.b for m in members])
+        picked.premix = pick([m.premix for m in members])
+        return picked
+
     def raw(self, codes: np.ndarray) -> np.ndarray:
         """Return hash values in ``[0, p)`` for an array of uint64 codes."""
-        folded = fold_to_31_bits(np.asarray(codes, dtype=np.uint64) ^ self.premix)
-        # a < 2**31 and folded < 2**31, so the product fits in uint64.
-        mixed = self.a * folded + self.b
-        return fold_to_31_bits(mixed)
+        mixed = np.bitwise_xor(np.asarray(codes, dtype=np.uint64),
+                               self.premix)
+        fold_to_31_bits(mixed, out=mixed)
+        # a < 2**31 and the fold < 2**31, so the product fits in uint64.
+        mixed *= self.a
+        mixed += self.b
+        return fold_to_31_bits(mixed, out=mixed)
 
     def bucket(self, codes: np.ndarray, n_buckets: int) -> np.ndarray:
         """Return bucket indices in ``[0, n_buckets)``.
@@ -136,6 +154,12 @@ class PairHash:
                  for j in range(i + 1, num_tables)]
         #: ``(C(d,2), 2)`` lookup array mapping partition -> (i, j).
         self.pairs = np.asarray(pairs, dtype=np.int64)
+        #: ``(C(d,2), d)`` lookup: ``other[p, t]`` is the member of pair
+        #: ``p`` that is not ``t``, or -1 when ``t`` is not in the pair.
+        self.other = np.full((len(pairs), num_tables), -1, dtype=np.int64)
+        rows = np.arange(len(pairs))
+        self.other[rows, self.pairs[:, 0]] = self.pairs[:, 1]
+        self.other[rows, self.pairs[:, 1]] = self.pairs[:, 0]
 
     @property
     def num_pairs(self) -> int:
@@ -162,16 +186,17 @@ class PairHash:
         subtables; this is the invariant that every stored entry sits in a
         subtable of its own pair.
         """
-        first, second = self.tables_for(codes)
+        part = self.partition(codes)
         current = np.asarray(current, dtype=np.int64)
-        alt = np.where(current == first, second, first)
-        valid = (current == first) | (current == second)
-        if not bool(np.all(valid)):
-            raise AssertionError(
-                "alternate_table called with a table outside the key's pair; "
-                "the two-layer invariant was violated"
-            )
-        return alt
+        # Negative ids wrap to huge unsigned values: one bound check.
+        if not np.any(current.astype(np.uint64) >= self.num_tables):
+            alt = self.other[part, current]
+            if not len(alt) or int(alt.min()) >= 0:
+                return alt
+        raise AssertionError(
+            "alternate_table called with a table outside the key's pair; "
+            "the two-layer invariant was violated"
+        )
 
 
 def make_table_hashes(num_tables: int, rng: np.random.Generator

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.grouping import rank_within_group
+from repro.core.grouping import nth_set_columns, rank_within_group
 from repro.core.hashing import UniversalHash
 from repro.core.subtable import EMPTY
 from repro.errors import CapacityError, ResizeError
@@ -506,10 +506,8 @@ class ResizeController:
                 free_counts = free_mask.sum(axis=1)
                 fits = ranks < free_counts[inverse]
                 if np.any(fits):
-                    fit_rows = free_mask[inverse[fits]]
-                    running = fit_rows.cumsum(axis=1)
-                    slot_target = (ranks[fits] + 1)[:, None]
-                    dslots = (running == slot_target).argmax(axis=1)
+                    dslots = nth_set_columns(free_mask, inverse[fits],
+                                             ranks[fits])
                     st.keys[mv_dest[fits], dslots] = mv_codes[fits]
                     st.values[mv_dest[fits], dslots] = mv_values[fits]
                     st.size += int(fits.sum())

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.grouping import rank_within_group
+from repro.core.grouping import nth_set_columns, rank_within_group
 from repro.errors import InvalidConfigError
 
 #: Key code marking an empty slot.
@@ -269,22 +269,28 @@ class Subtable:
         can_place = ranks < free_counts[inverse]
         if np.any(can_place):
             items = rest[can_place]
-            item_rows = free_mask[inverse[can_place]]          # (m, cap)
-            # The rank-th free slot: position where the running count of
-            # free slots first reaches rank + 1.
-            running = item_rows.cumsum(axis=1)
-            target = (ranks[can_place] + 1)[:, None]
-            slots = (running == target).argmax(axis=1)
-            np_buckets = buckets[items]
-            self.keys[np_buckets, slots] = codes[items]
-            self.values[np_buckets, slots] = values[items]
+            # The rank-th contender claims the bucket's rank-th free slot.
+            slots = nth_set_columns(free_mask, inverse[can_place],
+                                    ranks[can_place])
+            self.fill_slots(buckets[items], slots, codes[items],
+                            values[items])
             placed[items] = True
-            self.size += len(items)
 
         bucket_full = free_counts[inverse] == 0
         leader = bucket_full & (ranks == 0)
         full_leader[rest[leader]] = True
         return updated, placed, full_leader
+
+    def fill_slots(self, buckets: np.ndarray, slots: np.ndarray,
+                   codes: np.ndarray, values: np.ndarray) -> None:
+        """Write new entries into free ``(bucket, slot)`` positions.
+
+        The caller has picked distinct slots that are empty (a
+        placement round's claims); the live count grows by one each.
+        """
+        self.keys[buckets, slots] = codes
+        self.values[buckets, slots] = values
+        self.size += len(codes)
 
     def swap_slot(self, buckets: np.ndarray, slots: np.ndarray,
                   codes: np.ndarray, values: np.ndarray

@@ -28,13 +28,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import DyCuckooConfig
-from repro.core.distribution import make_router
-from repro.core.grouping import first_occurrence_mask, last_occurrence_mask
-from repro.core.hashing import PairHash, make_table_hashes
+from repro.core.distribution import make_router, theorem1_weights
+from repro.core.grouping import (first_occurrence_mask, last_occurrence_mask,
+                                 nth_set_columns, rank_within_group)
+from repro.core.hashing import PairHash, UniversalHash, make_table_hashes
 from repro.core.resize import ResizeController
 from repro.core.stash import Stash
 from repro.core.stats import MemoryFootprint, TableStats
-from repro.core.subtable import Subtable
+from repro.core.subtable import EMPTY, Subtable
 from repro.errors import (CapacityError, InvalidKeyError, ResizeError,
                           StashOverflowError)
 from repro.faults import NO_FAULTS, FaultPlan
@@ -48,9 +49,29 @@ from repro.telemetry.recorder import NULL_RECORDER, FlightRecorder
 #: key's placement chain went through before settling).
 CHAIN_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
+#: Bucket upper bounds for the per-round lock-conflict histogram.
+RETRY_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+#: Low bits of a lock id ``(subtable << 40) | bucket`` holding the bucket.
+_BUCKET_BITS = np.int64((1 << 40) - 1)
+
 #: Largest user key; ``2**64 - 1`` is unrepresentable because the
 #: internal code space reserves 0 for empty slots.
 MAX_KEY = (1 << 64) - 2
+
+
+def _subtable_runs(ids: np.ndarray, num_ids: int
+                   ) -> tuple[np.ndarray, list[int]]:
+    """Stable order grouping ``ids`` (small non-negative ints) by value.
+
+    Returns the order and the run boundaries: items with id ``t`` sit at
+    ``order[runs[t]:runs[t + 1]]``, in their input order.  Small ids
+    sort as narrow integers, which numpy radix-sorts in linear time.
+    """
+    order = np.argsort(ids.astype(np.min_scalar_type(num_ids)),
+                       kind="stable")
+    runs = np.bincount(ids, minlength=num_ids).cumsum().tolist()
+    return order, [0] + runs
 
 
 def encode_keys(keys) -> np.ndarray:
@@ -692,19 +713,18 @@ class DyCuckooTable:
         targets = np.asarray(targets, dtype=np.int64)
         tel = self.telemetry
         traced = tel.enabled
-        prof = self.profiler
-        # The chain-depth bookkeeping serves both the metrics histogram
-        # and the deep profiler; track it when either consumer is live.
-        track_depths = traced or prof.enabled
         if traced:
-            chain_hist = tel.metrics.histogram("cuckoo_chain_depth",
-                                               CHAIN_DEPTH_BUCKETS)
-            retry_hist = tel.metrics.histogram(
-                "atomic_retries", (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0))
-        if track_depths:
-            # Evictions a key's placement chain has gone through so far;
-            # victims inherit their evictor's depth plus one.
-            depths = np.zeros(len(codes), dtype=np.int64)
+            # Every insert call registers both histograms, even one that
+            # runs no round, so the metrics snapshot always lists them.
+            tel.metrics.histogram("cuckoo_chain_depth", CHAIN_DEPTH_BUCKETS)
+            tel.metrics.histogram("atomic_retries", RETRY_BUCKETS)
+        # Evictions a key's placement chain has gone through so far;
+        # victims inherit their evictor's depth plus one.  The bookkeeping
+        # serves both the metrics histogram and the deep profiler.
+        depths = (np.zeros(len(codes), dtype=np.int64)
+                  if traced or self.profiler.enabled else None)
+        # Raw hashes travel with the keys: only victims are hashed again.
+        raw = self._raw_hashes(codes, targets)
         rounds_since_progress = 0
         while len(codes):
             if self.faults.enabled:
@@ -759,112 +779,15 @@ class DyCuckooTable:
                         break
             self.stats.eviction_rounds += 1
             before_pending = len(codes)
-            round_evictions = 0
-            next_codes: list[np.ndarray] = []
-            next_values: list[np.ndarray] = []
-            next_targets: list[np.ndarray] = []
-            next_depths: list[np.ndarray] = []
-            for t in range(self.num_tables):
-                sel = np.flatnonzero(targets == t)
-                if len(sel) == 0:
-                    continue
-                st = self.subtables[t]
-                sel_codes = codes[sel]
-                sel_values = values[sel]
-                buckets = self.bucket_for(t, sel_codes)
-                self.stats.bucket_reads += len(sel)
-                # One bucket-lock CAS per operation; collisions estimated
-                # from device occupancy (only resident warps contend).
-                conflicts = estimate_lock_conflicts(len(sel), st.n_buckets)
-                self.stats.lock_acquisitions += len(sel)
-                self.stats.lock_conflicts += conflicts
-                if traced:
-                    tel.metrics.counter("lock.acquisitions").inc(len(sel))
-                    tel.metrics.counter("lock.conflicts").inc(conflicts)
-                    retry_hist.observe(conflicts)
-                    tel.tracer.instant("lock.acquire", "lock", subtable=t,
-                                       requests=len(sel), conflicts=conflicts)
-                if prof.enabled:
-                    # Attribute the per-bucket lock grants to the
-                    # contention heatmap (bucket < 2^40, so + == |).
-                    prof.lock_grants_many(buckets.astype(np.int64)
-                                          + (t << 40))
-                updated, placed, full_leader = st.place_round(
-                    buckets, sel_codes, sel_values)
-                self.stats.bucket_writes += int(placed.sum() + updated.sum())
-
-                ev = np.flatnonzero(full_leader)
-                mig = st.migration
-                if (len(ev) and excluded is None and mig is not None
-                        and mig.kind == "upsize"):
-                    # Migrate-on-access: a full bucket in an upsizing
-                    # subtable gets split to its post-resize view instead
-                    # of evicting — the blocked keys retry next round
-                    # against the (half-empty) migrated pair.
-                    ev_pairs = (buckets[ev].astype(np.int64)
-                                & np.int64(mig.num_pairs - 1))
-                    unmig = ~mig.migrated[ev_pairs]
-                    if np.any(unmig):
-                        self._resizer.migrate_on_access(
-                            t, np.unique(ev_pairs[unmig]))
-                        full_leader[ev[unmig]] = False
-                        ev = ev[~unmig]
-                good = np.zeros(0, dtype=np.int64)
-                if len(ev):
-                    ev_buckets = buckets[ev]
-                    slots, ok, victim_alts = self._choose_victims(
-                        t, ev_buckets, excluded)
-                    good = np.flatnonzero(ok)
-                    if len(good):
-                        old_codes, old_values = st.swap_slot(
-                            ev_buckets[good], slots[good],
-                            sel_codes[ev[good]], sel_values[ev[good]])
-                        self.stats.evictions += len(good)
-                        self.stats.bucket_writes += len(good)
-                        round_evictions += len(good)
-                        next_codes.append(old_codes)
-                        next_values.append(old_values)
-                        next_targets.append(victim_alts[good])
-                        if track_depths:
-                            next_depths.append(depths[sel[ev[good]]] + 1)
-                    # Eviction leaders without an eligible victim retry.
-                    full_leader[ev[~ok]] = False
-
-                retry = ~(updated | placed | full_leader)
-                if np.any(retry):
-                    next_codes.append(sel_codes[retry])
-                    next_values.append(sel_values[retry])
-                    next_targets.append(np.full(int(retry.sum()), t,
-                                                dtype=np.int64))
-                    if track_depths:
-                        next_depths.append(depths[sel[retry]])
-                if track_depths:
-                    done = updated | placed | full_leader
-                    if np.any(done):
-                        if traced:
-                            chain_hist.observe_many(depths[sel[done]])
-                        if prof.enabled:
-                            prof.observe_chains(depths[sel[done]])
+            codes, values, targets, raw, depths, round_evictions = (
+                self._eviction_round(codes, values, targets, raw, depths,
+                                     excluded))
             if traced:
                 tel.metrics.counter("eviction.rounds").inc()
                 tel.metrics.counter("evictions").inc(round_evictions)
                 tel.tracer.instant(
                     "evict.round", "insert", pending=before_pending,
-                    evictions=round_evictions,
-                    carried=sum(len(c) for c in next_codes))
-            if next_codes:
-                codes = np.concatenate(next_codes)
-                values = np.concatenate(next_values)
-                targets = np.concatenate(next_targets)
-                if track_depths:
-                    depths = (np.concatenate(next_depths) if next_depths
-                              else np.zeros(0, dtype=np.int64))
-            else:
-                codes = np.zeros(0, dtype=np.uint64)
-                values = np.zeros(0, dtype=np.uint64)
-                targets = np.zeros(0, dtype=np.int64)
-                if track_depths:
-                    depths = np.zeros(0, dtype=np.int64)
+                    evictions=round_evictions, carried=len(codes))
 
             if len(codes) >= before_pending:
                 rounds_since_progress += 1
@@ -994,55 +917,222 @@ class DyCuckooTable:
                 len(self.stash))
         return drained
 
-    def _choose_victims(self, table_idx: int, buckets: np.ndarray,
-                        excluded: int | None
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pick one eviction victim per (full) bucket.
+    def _raw_hashes(self, codes: np.ndarray, targets: np.ndarray
+                    ) -> np.ndarray:
+        """Raw hash of every code under its target subtable's function."""
+        return UniversalHash.per_key(self.table_hashes, targets).raw(codes)
 
-        Victims rotate deterministically around the bucket so repeated
-        evictions do not thrash the same slot.  With ``excluded`` set,
-        only occupants whose alternate subtable differs from ``excluded``
-        are eligible.
+    def _eviction_round(self, codes: np.ndarray, values: np.ndarray,
+                        targets: np.ndarray, raw: np.ndarray,
+                        depths: np.ndarray | None, excluded: int | None):
+        """One device round over every pending key, all subtables at once.
 
-        Returns ``(slots, ok, alternates)`` — the chosen slot per bucket,
-        whether an eligible victim exists, and the victim's alternate
-        subtable.
+        Each key tries its current bucket once.  Keys contending for a
+        bucket rank in input order (the warp-vote order): the k-th
+        claims the k-th free slot, and the first contender for a full
+        bucket evicts one occupant.  Pending keys are never stored
+        (fresh keys missed the update pass; victims, residuals and
+        stashed keys have left storage), so no update probe runs.
+        Storage writes, migrate-on-access and hooks go subtable by
+        subtable in index order, so every side effect lands exactly as
+        in a round that visits the subtables one after another.
+
+        Returns the next round's ``(codes, values, targets, raw, depths,
+        evictions)``: per source subtable, its victims (retargeted at
+        their alternates) and then the keys that must retry.
         """
-        st = self.subtables[table_idx]
-        cap = st.bucket_capacity
-        m = len(buckets)
-        bucket_keys = st.bucket_keys(buckets)                 # (m, cap), full
-        flat = bucket_keys.ravel()
-        current = np.full(len(flat), table_idx, dtype=np.int64)
-        alternates = self.pair_hash.alternate_table(flat, current).reshape(m, cap)
-        if excluded is None:
-            eligible = np.ones((m, cap), dtype=bool)
-        else:
-            eligible = alternates != excluded
+        tel = self.telemetry
+        prof = self.profiler
+        d = self.num_tables
+        cap = self.config.bucket_capacity
+        subtables = self.subtables
+
+        masks = np.asarray([st.n_buckets - 1 for st in subtables],
+                           dtype=np.uint64)
+        buckets = (raw & masks[targets]).astype(np.int64)
+        for t, st in enumerate(subtables):
+            if st.migration is not None:
+                sel = np.flatnonzero(targets == t)
+                if len(sel):
+                    buckets[sel] = st.migration.effective_buckets(raw[sel])
+        lock_ids = (targets << 40) | buckets
+        ranks, groups, inverse = rank_within_group(lock_ids)
+        # Groups sort by lock id, so each subtable's buckets form a run.
+        bounds = np.searchsorted(groups >> 40, np.arange(d + 1))
+        rows = np.empty((len(groups), cap), dtype=np.uint64)
+        for t in range(d):
+            lo, hi = bounds[t], bounds[t + 1]
+            if hi > lo:
+                np.take(subtables[t].keys, groups[lo:hi] & _BUCKET_BITS,
+                        axis=0, out=rows[lo:hi])
+        free = rows == EMPTY
+        free_counts = np.count_nonzero(free, axis=1)[inverse]
+        placed = np.flatnonzero(ranks < free_counts)
+        slots = nth_set_columns(free, inverse[placed], ranks[placed])
+        leader = (free_counts == 0) & (ranks == 0)
+
+        counts = np.bincount(targets, minlength=d)
+        # Placements grouped by subtable: one slice per storage write.
+        by_table, placed_runs = _subtable_runs(targets[placed], d)
+        placed = placed[by_table]
+        slots = slots[by_table]
+        placed_counts = np.diff(placed_runs)
+        self.stats.bucket_reads += len(codes)
+        self.stats.lock_acquisitions += len(codes)
+        self.stats.bucket_writes += len(placed)
+        for t in np.flatnonzero(counts).tolist():
+            st = subtables[t]
+            requests = int(counts[t])
+            # One bucket-lock CAS per operation; collisions estimated
+            # from device occupancy (only resident warps contend).
+            conflicts = estimate_lock_conflicts(requests, st.n_buckets)
+            self.stats.lock_conflicts += conflicts
+            if tel.enabled:
+                tel.metrics.counter("lock.acquisitions").inc(requests)
+                tel.metrics.counter("lock.conflicts").inc(conflicts)
+                tel.metrics.histogram("atomic_retries",
+                                      RETRY_BUCKETS).observe(conflicts)
+                tel.tracer.instant("lock.acquire", "lock", subtable=t,
+                                   requests=requests, conflicts=conflicts)
+            if prof.enabled:
+                # Attribute the per-bucket lock grants to the contention
+                # heatmap.
+                prof.lock_grants_many(lock_ids[targets == t])
+            lo, hi = placed_runs[t], placed_runs[t + 1]
+            if hi > lo:
+                mine = placed[lo:hi]
+                st.fill_slots(buckets[mine], slots[lo:hi], codes[mine],
+                              values[mine])
+            mig = st.migration
+            if excluded is None and mig is not None and mig.kind == "upsize":
+                # Migrate-on-access: a full bucket in an upsizing subtable
+                # is split to its post-resize view instead of evicting —
+                # the blocked keys retry next round against the
+                # (half-empty) migrated pair.
+                ev = np.flatnonzero(leader & (targets == t))
+                ev_pairs = buckets[ev] & np.int64(mig.num_pairs - 1)
+                unmig = ~mig.migrated[ev_pairs]
+                if np.any(unmig):
+                    self._resizer.migrate_on_access(
+                        t, np.unique(ev_pairs[unmig]))
+                    leader[ev[unmig]] = False
+
+        evictors = np.flatnonzero(leader)
+        ev_idx, ev_codes, ev_values, ev_alts = self._evict(
+            evictors, rows[inverse[evictors]], codes, values, targets,
+            buckets, placed_counts, excluded)
+        done = np.zeros(len(codes), dtype=bool)
+        done[placed] = True
+        done[ev_idx] = True
+        if depths is not None:
+            self._observe_chains(depths[done], targets[done])
+        retry = np.flatnonzero(~done)
+        # Per source subtable: its victims, then its retries.
+        key = np.concatenate([targets[ev_idx], targets[retry]]) * 2
+        key[len(ev_idx):] += 1
+        order, _ = _subtable_runs(key, 2 * d)
+        next_depths: np.ndarray | None = None
+        if depths is not None:
+            next_depths = np.concatenate([depths[ev_idx] + 1,
+                                          depths[retry]])[order]
+        return (np.concatenate([ev_codes, codes[retry]])[order],
+                np.concatenate([ev_values, values[retry]])[order],
+                np.concatenate([ev_alts, targets[retry]])[order],
+                np.concatenate([self._raw_hashes(ev_codes, ev_alts),
+                                raw[retry]])[order],
+                next_depths, len(ev_idx))
+
+    def _evict(self, evictors: np.ndarray, rows: np.ndarray,
+               codes: np.ndarray, values: np.ndarray, targets: np.ndarray,
+               buckets: np.ndarray, placed_counts: np.ndarray,
+               excluded: int | None):
+        """Pick and swap one victim per full bucket, all subtables at once.
+
+        ``rows`` holds the evictors' (full) bucket rows.  Victims rotate
+        around the bucket so repeated evictions do not thrash one slot.
+        With ``excluded`` set, only occupants whose alternate subtable
+        differs from it are eligible, and evictors without an eligible
+        victim retry.  Returns ``(evictor_idx, victim_codes,
+        victim_values, victim_alternates)`` for the evictors that
+        swapped, grouped by subtable in input order.
+        """
+        if len(evictors) == 0:
+            none = np.zeros(0, dtype=np.int64)
+            return (none, np.zeros(0, dtype=np.uint64),
+                    np.zeros(0, dtype=np.uint64), none)
+        m, cap = rows.shape
+        ev_tables = targets[evictors]
+        alternates = self.pair_hash.alternate_table(
+            rows.ravel(), np.repeat(ev_tables, cap)).reshape(m, cap)
         # Theorem-1-guided choice (Section V-A: "one can pick a KV pair
         # for re-insertion into a desired hash table based on the
         # balancing strategy"): prefer the occupant whose alternate
         # subtable currently has the best routing weight, so evictions
         # drain toward the least-loaded subtables — this is where a
-        # larger d pays off for insertion.
-        from repro.core.distribution import theorem1_weights
+        # larger d pays off for insertion.  Subtable t weighs the loads
+        # after this round's placements into subtables 0..t, as a round
+        # visiting the subtables in order would.
+        d = self.num_tables
+        evicting = np.flatnonzero(np.bincount(ev_tables, minlength=d))
+        loads = self.subtable_loads() - placed_counts
+        seen = np.arange(d)[None, :] <= evicting[:, None]
         weights = theorem1_weights(self.subtable_sizes(),
-                                   self.subtable_loads())
-        preference = weights[alternates]                      # (m, cap)
+                                   loads + placed_counts * seen)
+        which = np.searchsorted(evicting, ev_tables)
+        preference = weights[which[:, None], alternates]      # (m, cap)
         # Random tie-breaking jitter: victims must still be effectively
         # random or dense eviction cycles persist for hundreds of
         # rounds (random-walk cuckoo).  A multiplicative hash of
         # (event counter, bucket, slot) provides the jitter without an
-        # RNG stream.
-        self._victim_counter += 1
-        nonce = (self._victim_counter * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        mixed = (np.uint64(nonce)
-                 + buckets.astype(np.uint64)[:, None] * np.uint64(0xBF58476D1CE4E5B9)
-                 + np.arange(cap, dtype=np.uint64)[None, :] * np.uint64(0x94D049BB133111EB))
+        # RNG stream; the counter ticks once per evicting subtable.
+        counter = self._victim_counter
+        nonces = np.asarray(
+            [((counter + k) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+             for k in range(1, len(evicting) + 1)], dtype=np.uint64)
+        self._victim_counter = counter + len(evicting)
+        mixed = (nonces[which][:, None]
+                 + buckets[evictors].astype(np.uint64)[:, None]
+                 * np.uint64(0xBF58476D1CE4E5B9)
+                 + np.arange(cap, dtype=np.uint64)[None, :]
+                 * np.uint64(0x94D049BB133111EB))
         jitter = ((mixed >> np.uint64(40)).astype(np.float64)
                   / float(1 << 24))                           # [0, 1)
         score = preference * (0.5 + jitter)
-        score = np.where(eligible, score, -1.0)
+        if excluded is not None:
+            score[alternates == excluded] = -1.0
         slots = score.argmax(axis=1)
-        ok = eligible[np.arange(m), slots]
-        return slots, ok, alternates[np.arange(m), slots]
+        alts = alternates[np.arange(m), slots]
+        # Evictors with an eligible victim swap, grouped by subtable.
+        swap = np.arange(m)
+        if excluded is not None:
+            swap = np.flatnonzero(alts != excluded)
+        by_table, runs = _subtable_runs(ev_tables[swap], d)
+        swap = swap[by_table]
+        good, good_slots, alts = evictors[swap], slots[swap], alts[swap]
+        victim_codes = np.empty(len(good), dtype=np.uint64)
+        victim_values = np.empty(len(good), dtype=np.uint64)
+        for t in evicting.tolist():
+            lo, hi = runs[t], runs[t + 1]
+            if hi > lo:
+                mine = good[lo:hi]
+                victim_codes[lo:hi], victim_values[lo:hi] = (
+                    self.subtables[t].swap_slot(
+                        buckets[mine], good_slots[lo:hi], codes[mine],
+                        values[mine]))
+        self.stats.evictions += len(good)
+        self.stats.bucket_writes += len(good)
+        return good, victim_codes, victim_values, alts
+
+    def _observe_chains(self, depths: np.ndarray,
+                        targets: np.ndarray) -> None:
+        """Feed settled keys' chain depths to telemetry and the profiler,
+        subtable by subtable."""
+        for t in range(self.num_tables):
+            settled = depths[targets == t]
+            if len(settled):
+                if self.telemetry.enabled:
+                    self.telemetry.metrics.histogram(
+                        "cuckoo_chain_depth",
+                        CHAIN_DEPTH_BUCKETS).observe_many(settled)
+                if self.profiler.enabled:
+                    self.profiler.observe_chains(settled)

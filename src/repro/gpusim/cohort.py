@@ -281,6 +281,9 @@ class _CohortState:
         self.lk_target = np.zeros(W, dtype=np.int64)
         self.lk_bucket = np.zeros(W, dtype=np.int64)
         self.lk_lockid = np.zeros(W, dtype=np.int64)
+        #: Lanes whose current pair is an evicted victim rather than the
+        #: op they were launched with.
+        self.carrying = np.zeros((W, width), dtype=bool)
         #: Per-lane eviction-chain depth; allocated only when a profiler
         #: is attached (see :func:`cohort_insert`), ``None`` otherwise.
         self.depth: np.ndarray | None = None
@@ -616,6 +619,10 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
     ldr = state.lk_leader[ph2]
     key = state.keys[ph2, ldr]
     val = state.values[ph2, ldr]
+    # A victim lane that finds its key stored finishes without writing:
+    # the stored copy was placed while the victim was in flight, so it
+    # is newer (same rule as _InsertWarp._complete_locked).
+    stale = state.carrying[ph2, ldr]
     mcount = len(ph2)
 
     own = np.empty((mcount, cap), dtype=np.uint64)
@@ -678,30 +685,35 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
         (a_hit, a_slot, place, evict, vslot, victim_key,
          victim_val) = _resolve_hazard(
             table, state, ph2, pos, tgt, bkt, key, val, own, miss,
-            alt_t, alt_b, a_hit, a_slot, has_free, free_slot, cap)
+            alt_t, alt_b, a_hit, a_slot, has_free, free_slot, cap,
+            stale[miss])
 
     # ---- vectorized apply (ordering resolved above if observable) ----
     n_miss = len(miss)
     n_up = mcount - n_miss
     n_ahit = int(a_hit.sum())
+    exist = np.flatnonzero(has_exist)
+    exist_w = exist[~stale[exist]]
+    a_write = a_hit & ~stale[miss]
     # Upserts pay one write; every miss pays the alternate read, then
-    # one more write whichever way it resolves (value / place / swap).
-    result.memory_transactions += n_up + 2 * n_miss
+    # one more write whichever way it resolves (value / place / swap);
+    # a stale victim lane skips its value write.
+    result.memory_transactions += (len(exist_w) + n_miss + len(place)
+                                   + len(evict) + int(a_write.sum()))
     result.completed_ops += n_up + n_ahit + len(place)
     result.evictions += len(evict)
 
-    exist = np.flatnonzero(has_exist)
     if hazard:
         _apply_hazard_round(table, state, ph2, pos, tgt, bkt, key, val,
-                            exist, exist_slot, miss, alt_t, alt_b,
-                            a_hit, a_slot, place, free_slot, evict,
+                            exist_w, exist_slot, miss, alt_t, alt_b,
+                            a_write, a_slot, place, free_slot, evict,
                             vslot, cap)
         if len(evict):
             table._victim_counter += len(evict)
     else:
         for t in range(table.num_tables):
             st = table.subtables[t]
-            g = exist[tgt[exist] == t]
+            g = exist_w[tgt[exist_w] == t]
             if len(g):
                 st.values[bkt[g], exist_slot[g]] = val[g]
             gp = place[tgt[place] == t]
@@ -710,8 +722,8 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
                 st.keys[bkt[gp], pslot] = key[gp]
                 st.values[bkt[gp], pslot] = val[gp]
                 st.size += len(gp)
-        if n_ahit:
-            hit_rows = np.flatnonzero(a_hit)
+        if a_write.any():
+            hit_rows = np.flatnonzero(a_write)
             for t in range(table.num_tables):
                 g = hit_rows[alt_t[hit_rows] == t]
                 if len(g):
@@ -738,6 +750,7 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
         state.values[e_warp, e_lane] = victim_val
         state.targets[e_warp, e_lane] = table.pair_hash.alternate_table(
             victim_key, tgt[evict])
+        state.carrying[e_warp, e_lane] = True
         if state.depth is not None:
             # The victims continue on their lanes one eviction deeper.
             state.depth[e_warp, e_lane] += 1
@@ -763,16 +776,18 @@ def _phase_two(table, state: _CohortState, result, ph2: np.ndarray,
             w = int(ph2[i])
             lid = int(lids[i])
             if has_exist[i]:
-                san.record_access(w, "write", "bucket", lid,
-                                  site=_SITE_PH2)
+                if not stale[i]:
+                    san.record_access(w, "write", "bucket", lid,
+                                      site=_SITE_PH2)
             else:
                 j = int(np.searchsorted(miss, i))
                 a_lock = (int(alt_t[j]) << 40) | int(alt_b[j])
                 san.record_access(w, "probe", "bucket", a_lock,
                                   site=_SITE_PH2)
                 if a_hit[j]:
-                    san.record_access(w, "atomic", "value", a_lock,
-                                      site=_SITE_PH2)
+                    if not stale[i]:
+                        san.record_access(w, "atomic", "value", a_lock,
+                                          site=_SITE_PH2)
                 else:
                     san.record_access(w, "write", "bucket", lid,
                                       site=_SITE_PH2)
@@ -787,7 +802,8 @@ def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,
                     miss: np.ndarray, alt_t: np.ndarray,
                     alt_b: np.ndarray, a_hit0: np.ndarray,
                     a_slot0: np.ndarray, has_free: np.ndarray,
-                    free_slot: np.ndarray, cap: int):
+                    free_slot: np.ndarray, cap: int,
+                    stale_m: np.ndarray):
     """Re-resolve alternate-bucket probes under a key-coincidence hazard.
 
     In a hazardous round a warp's alternate probe can observe a key
@@ -802,8 +818,10 @@ def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,
     in at most ``mcount`` steps to exactly the outcomes the reference
     engine observes when it steps warps in permutation order.
 
-    Returns the final ``(a_hit, a_slot, place, evict, vslot,
-    victim_key, victim_val)``; storage is *not* touched.
+    ``stale_m`` marks miss rows whose lane carries an evicted victim:
+    their alternate hits write no value.  Returns the final ``(a_hit,
+    a_slot, place, evict, vslot, victim_key, victim_val)``; storage is
+    *not* touched.
     """
     mcount = len(ph2)
     nm = len(miss)
@@ -866,14 +884,15 @@ def _resolve_hazard(table, state: _CohortState, ph2: np.ndarray,
 
     # Victim values are read live at the evictor's turn: start from the
     # snapshot and override with the latest earlier-position
-    # alternate-hit value write landing in the same slot, if any.
+    # alternate-hit value write landing in the same slot, if any
+    # (stale victim lanes' hits write nothing).
     victim_val = np.empty(len(evict), dtype=np.uint64)
     for t in range(table.num_tables):
         g = np.flatnonzero(tgt[evict] == t)
         if len(g):
             st = table.subtables[t]
             victim_val[g] = st.values[bkt[evict[g]], vslot[g]]
-    ah_m = np.flatnonzero(nh)
+    ah_m = np.flatnonzero(nh & ~stale_m)
     if len(ah_m) and len(evict):
         w_total = len(pos)
         w_addr = probe_lock[ah_m] * cap + ns[ah_m]

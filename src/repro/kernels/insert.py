@@ -104,6 +104,9 @@ class _InsertWarp:
         # lane's current op has displaced this many victims so far.
         self.depths = (np.zeros(width, dtype=np.int64)
                        if self.prof.enabled else None)
+        #: Lanes whose current pair is an evicted victim rather than the
+        #: op they were launched with.
+        self.carrying = np.zeros(width, dtype=bool)
         self._next_start_lane = 0
         self._stalled_rounds = 0
         self._max_stall = max_rounds_per_op
@@ -228,19 +231,22 @@ class _InsertWarp:
         # fall back to the free-slot predicate only on a miss.
         slot = self._ballot_first_slot(bucket_keys == np.uint64(key),
                                        st.bucket_capacity)
+        stale = bool(self.carrying[leader])
+        if slot >= 0 and stale:
+            # The key was stored again while its evicted copy was in
+            # flight (an update that missed both buckets placed it);
+            # the stored value is newer, so the victim lane finishes
+            # without writing.
+            self._finish_lane(leader, lock_id)
+            return
         if slot < 0:
             # Second half of the upsert contract: the key may live in
             # the *other* subtable of its pair (router flips between
             # batches as loads shift; evictions relocate keys).  Probe
             # that bucket before claiming a free slot here, or the
             # table ends up with one copy per pair member.
-            if self._update_in_alternate(key, value, target):
-                self.arbiter.release(lock_id, warp=self.ctx.warp_id)
-                self.ctx.active[leader] = False
-                self.result.completed_ops += 1
-                if self.depths is not None:
-                    self.prof.observe_chain(self.depths[leader])
-                self._next_start_lane = (leader + 1) % self.ctx.width
+            if self._update_in_alternate(key, value, target, stale):
+                self._finish_lane(leader, lock_id)
                 return
             slot = self._ballot_first_slot(bucket_keys == EMPTY,
                                            st.bucket_capacity)
@@ -256,12 +262,7 @@ class _InsertWarp:
                 self.san.record_access(self.ctx.warp_id, "write",
                                        "bucket", lock_id,
                                        site=_SITE_PHASE2)
-            self.arbiter.release(lock_id, warp=self.ctx.warp_id)
-            self.ctx.active[leader] = False
-            self.result.completed_ops += 1
-            if self.depths is not None:
-                self.prof.observe_chain(self.depths[leader])
-            self._next_start_lane = (leader + 1) % self.ctx.width
+            self._finish_lane(leader, lock_id)
             return
 
         # Bucket full: swap with a victim; the evicted pair continues on
@@ -288,15 +289,27 @@ class _InsertWarp:
         self.keys[leader] = victim_key
         self.values[leader] = victim_value
         self.targets[leader] = alternate
+        self.carrying[leader] = True
 
-    def _update_in_alternate(self, key: int, value: int,
-                             target: int) -> bool:
+    def _finish_lane(self, leader: int, lock_id: int) -> None:
+        """Release the lock and retire the leader lane's completed op."""
+        self.arbiter.release(lock_id, warp=self.ctx.warp_id)
+        self.ctx.active[leader] = False
+        self.result.completed_ops += 1
+        if self.depths is not None:
+            self.prof.observe_chain(self.depths[leader])
+        self._next_start_lane = (leader + 1) % self.ctx.width
+
+    def _update_in_alternate(self, key: int, value: int, target: int,
+                             stale: bool) -> bool:
         """Update ``key`` in the pair's other subtable if stored there.
 
         One extra coalesced read per leader op that misses its target
         bucket — the same both-bucket probe the vectorized path's
         update-existing pass performs.  The value write is lock-free,
-        matching the vectorized path and the delete kernel.
+        matching the vectorized path and the delete kernel.  A
+        ``stale`` (evicted-victim) pair that finds its key stored
+        reports the hit without writing: the stored copy is newer.
         """
         alternate = int(self.table.pair_hash.alternate_table(
             np.asarray([key], dtype=np.uint64),
@@ -316,6 +329,8 @@ class _InsertWarp:
                                        st.bucket_capacity)
         if slot < 0:
             return False
+        if stale:
+            return True
         st.values[bucket, slot] = np.uint64(value)
         self.tracker.bucket_access()
         self.result.memory_transactions += 1

@@ -5,7 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.grouping import (first_occurrence_mask, group_counts,
-                                 last_occurrence_mask, rank_within_group)
+                                 last_occurrence_mask, nth_set_columns,
+                                 rank_within_group)
+
+
+def _unique_based_rank(group_ids):
+    """The np.unique + argsort + searchsorted formulation."""
+    group_ids = np.asarray(group_ids)
+    unique_groups, inverse = np.unique(group_ids, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")
+    inverse_sorted = inverse[order]
+    group_start = np.searchsorted(inverse_sorted,
+                                  np.arange(len(unique_groups)))
+    ranks = np.empty(len(group_ids), dtype=np.int64)
+    ranks[order] = np.arange(len(group_ids)) - group_start[inverse_sorted]
+    return ranks, unique_groups, inverse
 
 
 class TestRankWithinGroup:
@@ -38,6 +53,45 @@ class TestRankWithinGroup:
         # Brute-force reference: rank = occurrences of this id before i.
         for i, g in enumerate(group_list):
             assert ranks[i] == group_list[:i].count(g)
+
+
+    @given(st.lists(st.integers(min_value=-(2 ** 62), max_value=2 ** 62),
+                    max_size=300),
+           st.integers(min_value=1, max_value=2 ** 62))
+    @settings(max_examples=200)
+    def test_matches_unique_based_formulation(self, group_list, spread):
+        groups = np.asarray(group_list, dtype=np.int64) % spread
+        ranks, unique, inverse = rank_within_group(groups)
+        ref_ranks, ref_unique, ref_inverse = _unique_based_rank(groups)
+        assert np.array_equal(ranks, ref_ranks)
+        assert np.array_equal(unique, ref_unique)
+        assert unique.dtype == ref_unique.dtype
+        assert np.array_equal(inverse, ref_inverse)
+
+
+class TestNthSetColumns:
+    def test_picks_kth_free_slot_per_row(self):
+        mask = np.array([[False, True, True, False, True],
+                         [True, False, False, False, True]])
+        rows = np.array([0, 0, 0, 1, 1])
+        nth = np.array([0, 2, 1, 1, 0])
+        assert nth_set_columns(mask, rows, nth).tolist() == [1, 4, 2, 4, 0]
+
+    @given(st.lists(st.lists(st.booleans(), min_size=4, max_size=4),
+                    min_size=1, max_size=20), st.randoms())
+    @settings(max_examples=100)
+    def test_matches_running_count(self, mask_rows, rnd):
+        mask = np.asarray(mask_rows, dtype=bool)
+        rows, nth = [], []
+        for r, row in enumerate(mask_rows):
+            for k in range(sum(row)):
+                if rnd.random() < 0.6:
+                    rows.append(r)
+                    nth.append(k)
+        rows = np.asarray(rows, dtype=np.int64)
+        nth = np.asarray(nth, dtype=np.int64)
+        expected = [int(np.flatnonzero(mask[r])[k]) for r, k in zip(rows, nth)]
+        assert nth_set_columns(mask, rows, nth).tolist() == expected
 
 
 class TestGroupCounts:

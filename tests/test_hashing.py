@@ -34,6 +34,50 @@ class TestFoldTo31Bits:
         assert int(folded[0]) == value % int(MERSENNE_P)
 
 
+def _limb_fold(codes):
+    """The three-limb Mersenne fold, written out step by step."""
+    mask = np.uint64((1 << 31) - 1)
+    codes = np.asarray(codes, dtype=np.uint64)
+    total = (codes & mask) + ((codes >> np.uint64(31)) & mask) + (
+        codes >> np.uint64(62))
+    total = (total & mask) + (total >> np.uint64(31))
+    return np.where(total >= MERSENNE_P, total - MERSENNE_P, total)
+
+
+class TestFoldMatchesLimbFormula:
+    P = int(MERSENNE_P)
+    EDGES = [0, 1, P - 2, P - 1, P, P + 1, 2 * P, 3 * P - 1, (1 << 62) - 1,
+             1 << 62, 2 ** 64 - 2, 2 ** 64 - 1]
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(11)
+        values = rng.integers(0, 2 ** 64 - 1, 200_000, dtype=np.uint64,
+                              endpoint=True)
+        assert np.array_equal(fold_to_31_bits(values), _limb_fold(values))
+
+    def test_edges(self):
+        values = np.array(self.EDGES, dtype=np.uint64)
+        assert np.array_equal(fold_to_31_bits(values), _limb_fold(values))
+        assert fold_to_31_bits(values).tolist() == [v % self.P
+                                                    for v in self.EDGES]
+
+    def test_in_place(self):
+        values = np.array(self.EDGES, dtype=np.uint64)
+        work = values.copy()
+        out = fold_to_31_bits(work, out=work)
+        assert out is work
+        assert np.array_equal(work, _limb_fold(values))
+
+    def test_raw_leaves_input_untouched(self):
+        h = UniversalHash.random(np.random.default_rng(2))
+        codes = np.array(self.EDGES, dtype=np.uint64)
+        before = codes.copy()
+        raw = h.raw(codes)
+        assert np.array_equal(codes, before)
+        expected = _limb_fold(h.a * _limb_fold(codes ^ h.premix) + h.b)
+        assert np.array_equal(raw, expected)
+
+
 class TestUniversalHash:
     def test_rejects_out_of_range_constants(self):
         with pytest.raises(InvalidConfigError):
@@ -145,6 +189,20 @@ class TestPairHash:
         foreign = np.array([3 - int(first[0]) - int(second[0])], dtype=np.int64)
         with pytest.raises(AssertionError):
             ph.alternate_table(codes, foreign)
+
+    @pytest.mark.parametrize("outside", [-1, 3, 4])
+    def test_alternate_table_rejects_out_of_range_table(self, outside):
+        ph = PairHash(3, np.random.default_rng(4))
+        codes = np.array([123, 456], dtype=np.uint64)
+        first, _ = ph.tables_for(codes)
+        current = np.array([int(first[0]), outside], dtype=np.int64)
+        with pytest.raises(AssertionError):
+            ph.alternate_table(codes, current)
+
+    def test_alternate_table_empty(self):
+        ph = PairHash(4, np.random.default_rng(4))
+        empty = np.zeros(0, dtype=np.uint64)
+        assert len(ph.alternate_table(empty, np.zeros(0, np.int64))) == 0
 
     def test_partitions_roughly_balanced(self):
         rng = np.random.default_rng(5)

@@ -221,3 +221,60 @@ class TestUnwindReleasesLocks:
             assert report["subtable_locks_held"] == 0, stage
             assert san.ok, [str(v) for v in san.violations]
         table.validate()
+
+
+class TestKernelVictimLostUpdate:
+    """A lane carrying an evicted victim overwrote a newer stored copy.
+
+    An eviction chain moves key K's *old* value on a lane; meanwhile
+    the update op for K probes both buckets, misses (K is in flight),
+    and places K with the new value.  The victim lane then found K
+    stored (own bucket or the pair's other subtable) and "upserted" the
+    stale value over it.  Victim lanes that find their key stored must
+    finish without writing.
+    """
+
+    @staticmethod
+    def _run(engine, seed, sanitizer=None):
+        from repro.core.batch_ops import OP_INSERT
+
+        table = DyCuckooTable(DyCuckooConfig(initial_buckets=16,
+                                             auto_resize=False))
+        stored = unique_keys(int(0.85 * table.total_slots), seed=seed)
+        table.insert(stored, stored)
+        if sanitizer is not None:
+            table.set_sanitizer(sanitizer)
+        rng = np.random.default_rng(seed)
+        updated = rng.choice(stored, size=1000, replace=False)
+        fresh = unique_keys(100, seed=seed + 100, low=1 << 62,
+                            high=(1 << 63) - 1)
+        keys = np.concatenate([updated, fresh])
+        values = keys * np.uint64(7) + np.uint64(1)
+        result = table.execute_mixed(np.full(len(keys), OP_INSERT), keys,
+                                     values, engine=engine)
+        expected = dict(zip(stored.tolist(), stored.tolist()))
+        expected.update(zip(keys.tolist(), values.tolist()))
+        return table, result, expected
+
+    @pytest.mark.parametrize("engine", ["warp", "cohort"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_updates_survive_concurrent_evictions(self, engine, seed):
+        table, _result, expected = self._run(engine, seed)
+        table.validate()
+        assert table.to_dict() == expected
+
+    def test_engines_agree_on_victim_lanes(self):
+        from dataclasses import asdict
+
+        from repro.sanitizer import Sanitizer
+
+        runs = {engine: self._run(engine, 0, Sanitizer())
+                for engine in ("warp", "cohort")}
+        (tw, rw, _), (tc, rc, _) = runs["warp"], runs["cohort"]
+        assert asdict(rw.kernel) == asdict(rc.kernel)
+        assert tw._victim_counter == tc._victim_counter
+        for sw, sc in zip(tw.subtables, tc.subtables):
+            assert np.array_equal(sw.keys, sc.keys)
+            assert np.array_equal(sw.values, sc.values)
+        for table in (tw, tc):
+            assert not table.sanitizer.violations
